@@ -142,9 +142,10 @@ class TxDmaEngine:
                 self.m_fetch.add(sim.now - ht_read, sim.now)
             chunks = tx.chunks
             n = len(chunks)
-            # A span tracer or busy timeline on this engine observes every
-            # chunk boundary, so the whole message runs chunk-exact.
-            may_bulk = sim.bulk_events and tracer is None and m_busy is None
+            # A span tracer observes every chunk boundary, so the whole
+            # message runs chunk-exact; busy timelines take a bulk run as
+            # one closed-form record (_bulk_commit).
+            may_bulk = sim.bulk_events and tracer is None
             i = 0
             while i < n:
                 chunk = chunks[i]
@@ -197,15 +198,17 @@ class TxDmaEngine:
 
     # -- bulk event batching --------------------------------------------------
     def _bulk_ready(self, chunk: WireChunk, npackets: int, cost: int):
-        """Prove the (src, dst) pipe is unobserved, clean, and fast enough.
+        """Prove the (src, dst) pipe is untraced, clean, and fast enough.
 
-        Returns ``(rx_engine, plan)`` when a run of ``npackets``-sized
+        Returns ``(rx_engine, plan, pipe)`` when a run of ``npackets``-sized
         chunks may be batched, else None.  The conditions mirror, one for
         one, every way a per-chunk boundary could be observed or could
         interleave with other traffic:
 
-        * no span tracer, metrics registry, or fault injector anywhere on
-          the path (engine-level observers are checked by the caller);
+        * no span tracer or fault injector anywhere on the path (the
+          engine's own tracer is checked by the caller).  A metrics
+          registry does not refuse: its busy timelines and hop counter
+          take the run in closed form;
         * no stochastic link retries (the RNG must be drawn per chunk);
         * exactly two attached ports — a third node could share the wire
           counters mid-run;
@@ -220,7 +223,6 @@ class TxDmaEngine:
         fabric = self.fabric
         if (
             fabric.tracer is not None
-            or fabric.metrics is not None
             or fabric.injector is not None
             or len(fabric.ports) != 2
         ):
@@ -248,7 +250,6 @@ class TxDmaEngine:
         if (
             rx_engine is None
             or rx_engine.tracer is not None
-            or rx_engine.m_busy is not None
             or rx_engine._plan_waiter is not None
         ):
             return None
@@ -258,7 +259,7 @@ class TxDmaEngine:
         plan = rx_engine._plans.get(chunk.msg_id)
         if plan is None:
             return None
-        return rx_engine, plan
+        return rx_engine, plan, pipe
 
     def _bulk_commit(self, ready, chunks: list[WireChunk], start: int,
                      end: int, counts) -> None:
@@ -268,11 +269,27 @@ class TxDmaEngine:
         path would have made across those release/transit/deposit cycles,
         applied in one pass; the caller has already slept the batched TX
         cost and verified via :meth:`_bulk_ready` that nothing else could
-        have touched the pipe in between.
+        have touched the pipe in between.  Attached busy timelines and
+        the wire hop counter take the run in closed form.
         """
         nbulk = end - start
         npackets = chunks[start].npackets
         fabric = self.fabric
+        cfg = self.config
+        rx_engine, plan, pipe = ready
+        cost = npackets * cfg.tx_dma_per_packet
+        rx_cost = npackets * cfg.rx_dma_per_packet
+        # chunk ``start`` was released at t0, one cost sleep before the
+        # next; the run's wire and deposit stages follow at the same period
+        t0 = self.sim.now - nbulk * cost
+        if self.m_busy is not None:
+            self.m_busy.add_run(t0, cost, cost, nbulk)
+        if pipe.m_busy is not None:
+            pipe.m_busy.add_run(t0, npackets * fabric.link.packet_time, cost, nbulk)
+            pipe.m_hop_traversals.incr(pipe.hops * nbulk)
+        if rx_engine.m_busy is not None:
+            transit = fabric.link.chunk_transit_time(npackets, pipe.hops)
+            rx_engine.m_busy.add_run(t0 + transit, rx_cost, cost, nbulk)
         counts["packets"] += npackets * nbulk
         fcounts = fabric.counters.counts()
         fcounts["chunks_sent"] += nbulk
@@ -283,8 +300,7 @@ class TxDmaEngine:
         pcounts = port.stats.counts()
         pcounts["chunks_received"] += nbulk
         pcounts["packets_received"] += npackets * nbulk
-        rx_engine, plan = ready
-        rx_engine.busy_time += npackets * self.config.rx_dma_per_packet * nbulk
+        rx_engine.busy_time += rx_cost * nbulk
         rx_engine.counters.counts()["packets"] += npackets * nbulk
         deposit = rx_engine._deposit
         for k in range(start, end):

@@ -113,7 +113,8 @@ class Machine:
     ):
         # bulk_events=None defers to BULK_EVENTS_DEFAULT; the DMA hot
         # path additionally falls back to chunk-exact automatically when
-        # a tracer, metrics registry, or fault injector is attached
+        # a tracer or fault injector is attached (a metrics registry
+        # records bulk runs in closed form and keeps the fast path)
         self.sim = Simulator(bulk_events=bulk_events)
         self.config = config
         self.topology = topology

@@ -97,8 +97,9 @@ class Timeline:
 
     Instrumentation appends the interval when the work *completes*
     (``add(now - cost, now)``).  Serialized engines therefore append in
-    nondecreasing start order, which :meth:`busy_between` exploits via
-    bisection; intervals never overlap on a capacity-1 engine.
+    nondecreasing start order, and since intervals never overlap on a
+    capacity-1 engine the ends are nondecreasing too; :meth:`busy_between`
+    relies on both orders.
     """
 
     __slots__ = ("name", "starts", "ends")
@@ -113,6 +114,24 @@ class Timeline:
         self.starts.append(t0)
         self.ends.append(t1)
 
+    def add_run(self, t0: int, length: int, period: int, count: int) -> None:
+        """Append ``count`` intervals ``[t0 + k*period, t0 + k*period + length)``.
+
+        The closed form of a train of identical jobs released back to
+        back: equal to ``count`` :meth:`add` calls, in the same order.
+        ``length <= period`` because a capacity-1 engine never overlaps
+        its own intervals.
+        """
+        if count < 0:
+            raise ValueError(f"timeline {self.name!r}: negative run count")
+        if period <= 0 or not 0 <= length <= period:
+            raise ValueError(
+                f"timeline {self.name!r}: run needs 0 <= length <= period, period > 0"
+            )
+        stop = t0 + count * period
+        self.starts.extend(range(t0, stop, period))
+        self.ends.extend(range(t0 + length, stop + length, period))
+
     def __len__(self) -> int:
         return len(self.starts)
 
@@ -124,18 +143,22 @@ class Timeline:
         """Exact busy overlap with the window ``[w0, w1)``.
 
         Intervals straddling a window edge contribute only the part
-        inside the window.
+        inside the window.  Closed form over the sorted ``starts`` and
+        ``ends``: intervals ``lo:hi`` meet the window, those before
+        ``head`` start before ``w0`` and those from ``tail`` end after
+        ``w1``, so each side is a slice sum plus clipped edges.
         """
         if w1 <= w0:
             return 0
         starts, ends = self.starts, self.ends
-        total = 0
-        for i in range(bisect_right(ends, w0), len(starts)):
-            s = starts[i]
-            if s >= w1:
-                break
-            total += min(ends[i], w1) - max(s, w0)
-        return total
+        lo = bisect_right(ends, w0)
+        hi = bisect_left(starts, w1, lo)
+        head = bisect_left(starts, w0, lo, hi)
+        tail = bisect_right(ends, w1, lo, hi)
+        return (
+            sum(ends[lo:tail]) + (hi - tail) * w1
+            - sum(starts[head:hi]) - (head - lo) * w0
+        )
 
     def utilization(self, w0: int, w1: int) -> float:
         """Busy fraction of the window ``[w0, w1)``."""

@@ -59,7 +59,7 @@ Two transports drive the same round protocol:
   the property suite and the differential harness's fast paths);
 * ``pool``   — one long-lived task per partition on the self-healing
   spawn pool (:mod:`repro.benchrunner.pool`), exchanging round files in
-  a shared directory via the repo's atomic-rename discipline.  A
+  a per-run temporary directory via the repo's atomic-rename discipline.  A
   partition SIGKILLed mid-run is respawned by the pool and
   deterministically re-simulates from t=0, republishing byte-identical
   round files until it catches up; peers simply keep polling.
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -592,7 +593,6 @@ def _run_rounds_pool(
     plan: PartitionPlan,
     config: SeaStarConfig,
     *,
-    exchange_dir: Optional[str],
     deadline_s: float,
     pool_timeout_s: float,
     progress: Optional[Callable[[str], None]],
@@ -601,8 +601,9 @@ def _run_rounds_pool(
 ) -> Tuple[Dict[MsgKey, Tuple[int, int, int]], Dict[str, Any]]:
     from ...benchrunner.pool import PoolTask, run_pool
 
-    own_dir = exchange_dir is None
-    exdir = exchange_dir or tempfile.mkdtemp(prefix="repro-plane-")
+    # a fresh directory per run: round files left by an earlier run would
+    # be read back as this run's rounds
+    exdir = tempfile.mkdtemp(prefix="repro-plane-")
     tasks = [
         PoolTask(
             task_id=f"plane-{scenario.name}-part{idx:02d}",
@@ -632,11 +633,8 @@ def _run_rounds_pool(
             progress=progress,
         )
     finally:
-        if own_dir:
-            import shutil
-
-            shutil.rmtree(exdir, ignore_errors=True)
-    # flight dumps never live in exdir (removed above when owned): the
+        shutil.rmtree(exdir, ignore_errors=True)
+    # flight dumps never live in exdir (removed above): the
     # parent-side post-mortem interleaves pool lifecycle events with the
     # round tails the surviving workers returned
     if flight_dir is not None and (outcome.degradations or outcome.failed):
@@ -710,7 +708,6 @@ def run_scenario(
     transport: str = "memory",
     axis: Optional[int] = None,
     config: SeaStarConfig = DEFAULT_CONFIG,
-    exchange_dir: Optional[str] = None,
     exchange_deadline_s: float = DEFAULT_EXCHANGE_DEADLINE_S,
     pool_timeout_s: float = 600.0,
     progress: Optional[Callable[[str], None]] = None,
@@ -729,8 +726,9 @@ def run_scenario(
     ``info["telemetry"]`` (partitions + straggler report); it is
     host-side only, so the ``result`` half is bit-identical either way.
     ``flight_dir`` (default: ``$REPRO_FLIGHT_DIR``) enables post-mortem
-    flight dumps on ``CausalityError`` or worker crash; it must not be
-    the exchange directory, which is transient.
+    flight dumps on ``CausalityError`` or worker crash.  The pool
+    transport exchanges its round files in a fresh temporary directory
+    that the run always removes.
 
     ``nparts`` is clamped to the slab axis extent (a partition owns at
     least one full coordinate plane); the effective count is reported in
@@ -764,7 +762,6 @@ def run_scenario(
             scenario,
             plan,
             config,
-            exchange_dir=exchange_dir,
             deadline_s=exchange_deadline_s,
             pool_timeout_s=pool_timeout_s,
             progress=progress,

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.metrics import (
     EXPORT_SCHEMA,
@@ -66,6 +68,34 @@ class TestInstruments:
         assert t.busy_between(30, 30) == 0  # empty window
         assert t.utilization(0, 40) == pytest.approx(0.5)
 
+    def test_timeline_add_run_equals_repeated_add(self):
+        run, one = Timeline("run"), Timeline("one")
+        run.add(0, 3)
+        one.add(0, 3)
+        run.add_run(10, 4, 7, 5)
+        for k in range(5):
+            one.add(10 + 7 * k, 14 + 7 * k)
+        assert run.starts == one.starts and run.ends == one.ends
+        # back-to-back jobs: length == period leaves no gaps
+        run.add_run(50, 6, 6, 3)
+        assert run.starts[-3:] == [50, 56, 62] and run.ends[-3:] == [56, 62, 68]
+
+    def test_timeline_add_run_count_zero_is_noop(self):
+        t = Timeline("t")
+        t.add(0, 5)
+        t.add_run(10, 2, 4, 0)
+        assert t.starts == [0] and t.ends == [5]
+
+    @pytest.mark.parametrize(
+        "length, period, count",
+        [(1, 4, -1), (5, 4, 2), (-1, 4, 2), (0, 0, 1)],
+    )
+    def test_timeline_add_run_rejects_bad_runs(self, length, period, count):
+        t = Timeline("t")
+        with pytest.raises(ValueError):
+            t.add_run(0, length, period, count)
+        assert len(t) == 0
+
     def test_histogram_bucket_edges(self):
         h = Histogram("h", [10, 100])
         h.observe(10)  # le=10 bucket (inclusive upper bound)
@@ -82,6 +112,40 @@ class TestInstruments:
             Histogram("h", [10, 10])
         with pytest.raises(ValueError):
             Histogram("h", [100, 10])
+
+
+def _busy_between_oracle(starts, ends, w0, w1):
+    """Per-interval clipping, the definition the closed form must match."""
+    if w1 <= w0:
+        return 0
+    return sum(
+        max(0, min(e, w1) - max(s, w0)) for s, e in zip(starts, ends)
+    )
+
+
+@st.composite
+def _sorted_intervals(draw):
+    """Intervals whose starts and ends are each nondecreasing (they may
+    overlap, zero-length ones included)."""
+    starts = sorted(draw(st.lists(st.integers(0, 200), max_size=12)))
+    ends, last = [], 0
+    for s in starts:
+        last = max(last, s + draw(st.integers(0, 40)))
+        ends.append(last)
+    return starts, ends
+
+
+@given(
+    intervals=_sorted_intervals(),
+    w0=st.integers(-20, 260),
+    w1=st.integers(-20, 260),
+)
+def test_busy_between_closed_form_matches_loop(intervals, w0, w1):
+    starts, ends = intervals
+    t = Timeline("t")
+    for s, e in zip(starts, ends):
+        t.add(s, e)
+    assert t.busy_between(w0, w1) == _busy_between_oracle(starts, ends, w0, w1)
 
 
 class TestTimeWeightedStats:

@@ -13,6 +13,7 @@ of that contract.
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
 
@@ -94,6 +95,17 @@ class TestDifferentialIdentity:
         part = _run(name, 2, transport="pool")
         assert part["info"]["transport"] == "pool"
         assert _blob(part["result"]) == _blob(base["result"])
+
+    def test_back_to_back_pool_runs_identical(self, tmp_path, monkeypatch):
+        """Each pool run exchanges rounds in its own temporary directory:
+        a second scenario in the same process must not read the first
+        one's round files, and neither leaves its directory behind."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for name in ("neighbor", "incast"):
+            base = _run(name, 1)
+            part = _run(name, 2, transport="pool")
+            assert _blob(part["result"]) == _blob(base["result"])
+        assert not list(tmp_path.glob("repro-plane-*"))
 
     def test_relaxation_is_host_side_only(self):
         """The documented relaxation: partitionings may differ in heap

@@ -423,6 +423,10 @@ def _sweep_fingerprint(bulk, sizes, trace, metrics, plan_name):
         ]
     if metrics:
         state["metrics"] = machine.metrics.snapshot()
+        state["timelines"] = {
+            name: (tl.starts, tl.ends)
+            for name, tl in machine.metrics.timelines().items()
+        }
     return state, machine
 
 
@@ -447,14 +451,15 @@ def test_bulk_events_invisible_under_any_observer_mix(
 
     # bulk=False must never elide anything...
     assert exact_machine.sim._bulk_extra == 0
-    # ...and with no observer attached, a multi-chunk sweep must actually
-    # engage the bulk path (guards against the gate silently always
-    # falling back to chunk-exact)
-    if not trace and not metrics and plan_name is None and max(sizes) >= 65536:
+    # ...and with no tracer or fault plan, a multi-chunk sweep must
+    # actually engage the bulk path, metrics registry attached or not
+    # (guards against the gate silently always falling back to
+    # chunk-exact)
+    if not trace and plan_name is None and max(sizes) >= 65536:
         assert fast_machine.sim._bulk_extra > 0
         assert fast_machine.sim._seq < exact_machine.sim._seq
-    # observers force chunk-exact: identical raw heap traffic
-    if trace or metrics or plan_name is not None:
+    # a tracer or fault plan forces chunk-exact: identical raw heap traffic
+    if trace or plan_name is not None:
         assert fast_machine.sim._bulk_extra == 0
 
 
