@@ -295,6 +295,7 @@ def execute_shard(shard: Shard, *, stats: bool = False) -> ShardResult:
                 }
                 for row in attribute_windows(runner.machine.metrics, runner.windows)
             ]
+            runner.machine.metrics.release()
         else:
             series = run_series(
                 _make_module(shard.variant), spec.pattern, list(shard.sizes)

@@ -440,7 +440,6 @@ class Firmware:
         lower.kind = PendingKind.TX
         lower.state = "tx_queued"
         lower.header = hdr
-        lower.buffer = cmd.payload
         lower.dest_node = cmd.target.nid
         lower.upper.header = hdr
         lower.upper.host_ctx = cmd.host_ctx
@@ -566,7 +565,6 @@ class Firmware:
         lower.kind = PendingKind.TX
         lower.state = "reply_queued"
         lower.header = hdr
-        lower.buffer = cmd.payload
         lower.direct_eq = cmd.direct_eq
         lower.direct_event = cmd.direct_event
         lower.dest_node = cmd.target.nid
@@ -606,7 +604,6 @@ class Firmware:
         lower.kind = PendingKind.TX
         lower.state = "control"
         lower.header = hdr
-        lower.buffer = payload
         lower.dest_node = dst_node
         self._submit_internal(lower, hdr, payload)
         return True
@@ -1334,6 +1331,21 @@ class Firmware:
                     lower.state = "retransmit"
                 record.header.inline_data = None
                 self._submit(record.proc, lower, record.header, record.payload)
+
+    def release_host_refs(self) -> None:
+        """Drop every pending's references into host memory once the run
+        is over.
+
+        A pending the host recycles keeps its last operation's reply
+        buffer, MD, event and host context until it is reused, and the
+        pools live as long as the machine.
+        """
+        for lower in self._pendings.values():
+            lower.reply_buffer = None
+            lower.md_ref = None
+            lower.direct_event = None
+            if lower.upper is not None:
+                lower.upper.host_ctx = None
 
     # ------------------------------------------------------------------
     # Crash injection and peer-death detection (chaos campaigns)

@@ -112,9 +112,6 @@ class LowerPending:
     kind: Optional[PendingKind] = None
     state: str = "free"
     header: Optional[PortalsHeader] = None
-    buffer: Optional[np.ndarray] = None
-    """TX: source payload view.  RX (replies): deposit destination."""
-
     reply_buffer: Optional[np.ndarray] = None
     """GET pendings: where the reply payload must land."""
 
@@ -141,7 +138,6 @@ class LowerPending:
         self.kind = None
         self.state = "free"
         self.header = None
-        self.buffer = None
         self.reply_buffer = None
         self.direct_eq = None
         self.md_ref = None

@@ -33,7 +33,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..net.fabric import Fabric, NetworkPort
-from ..net.packet import WireChunk, bulk_run_end
+from ..net.packet import MessageTrain, WireChunk
 from ..sim import Channel, Counters, Event, Simulator
 from .config import SeaStarConfig
 
@@ -44,7 +44,7 @@ __all__ = ["Transmission", "DepositPlan", "TxDmaEngine", "RxDmaEngine"]
 class Transmission:
     """One message queued on the TX engine."""
 
-    chunks: list[WireChunk]
+    chunks: MessageTrain
     on_sent: Callable[["Transmission"], None]
     """Invoked when the last chunk has been handed to the wire — the point
     at which the firmware unlinks the TX pending and posts completion."""
@@ -58,7 +58,7 @@ class Transmission:
     @property
     def total_bytes(self) -> int:
         """Payload bytes (including any inline header payload)."""
-        return sum(c.nbytes for c in self.chunks)
+        return self.chunks.total_bytes
 
 
 @dataclass(eq=False)
@@ -130,7 +130,7 @@ class TxDmaEngine:
             m_busy = self.m_busy
             span = (
                 tracer.begin("txdma.fetch", node=self.node_id,
-                             component="txdma", msg_id=tx.chunks[0].msg_id)
+                             component="txdma", msg_id=tx.chunks.msg_id)
                 if tracer is not None else None
             )
             # Initial fetch of header/descriptor from host memory.
@@ -140,28 +140,27 @@ class TxDmaEngine:
                 tracer.end(span)
             if self.m_fetch is not None:
                 self.m_fetch.add(sim.now - ht_read, sim.now)
-            chunks = tx.chunks
-            n = len(chunks)
+            train = tx.chunks
+            n = len(train)
             # A span tracer observes every chunk boundary, so the whole
             # message runs chunk-exact; busy timelines take a bulk run as
             # one closed-form record (_bulk_commit).
             may_bulk = sim.bulk_events and tracer is None
             i = 0
             while i < n:
-                chunk = chunks[i]
+                npackets = train.npackets(i)
                 cspan = (
                     tracer.begin("txdma.chunk", node=self.node_id,
-                                 component="txdma", msg_id=chunk.msg_id,
-                                 seq=chunk.seq, npackets=chunk.npackets)
+                                 component="txdma", msg_id=train.msg_id,
+                                 seq=i, npackets=npackets)
                     if tracer is not None else None
                 )
-                npackets = chunk.npackets
                 cost = npackets * per_packet
                 yield cost
                 self.busy_time += cost
                 if m_busy is not None:
                     m_busy.add(sim.now - cost, sim.now)
-                if may_bulk and not chunk.is_header:
+                if may_bulk and i > 0:
                     # The previous chunk drained during this chunk's cost
                     # sleep (the clean-pipe inequality _bulk_ready checks),
                     # so the pipe is provably quiescent right now — the one
@@ -169,19 +168,20 @@ class TxDmaEngine:
                     # always goes through the real pipeline so a trailing
                     # odd-size chunk overlaps an in-transit predecessor
                     # exactly as on the chunk-exact path.
-                    end = bulk_run_end(chunks, i)
-                    nbulk = end - 1 - i
+                    last = train.run_end(i) - 1
+                    nbulk = last - i
                     if nbulk >= 1:
-                        ready = self._bulk_ready(chunk, npackets, cost)
+                        ready = self._bulk_ready(train, npackets, cost)
                         if ready is not None:
                             # one heap record stands in for nbulk full
                             # release/transit/deposit cycles
                             yield nbulk * cost
                             self.busy_time += nbulk * cost
-                            self._bulk_commit(ready, chunks, i, end - 1, counts)
+                            self._bulk_commit(ready, train, i, last, counts)
                             sim.note_bulk(10 * nbulk - 1)
-                            i = end - 1
-                            chunk = chunks[i]
+                            i = last
+                # Only a chunk that really enters the wire is built.
+                chunk = train.chunk(i)
                 # Blocks when the wire window (TX FIFO) is full: the
                 # transmit state machine "yields ... until there is more
                 # room in the FIFO".
@@ -197,7 +197,7 @@ class TxDmaEngine:
             tx.on_sent(tx)
 
     # -- bulk event batching --------------------------------------------------
-    def _bulk_ready(self, chunk: WireChunk, npackets: int, cost: int):
+    def _bulk_ready(self, train: MessageTrain, npackets: int, cost: int):
         """Prove the (src, dst) pipe is untraced, clean, and fast enough.
 
         Returns ``(rx_engine, plan, pipe)`` when a run of ``npackets``-sized
@@ -230,7 +230,7 @@ class TxDmaEngine:
         cfg = self.config
         if cfg.link_crc_retry_prob > 0.0:
             return None
-        pipe = fabric._pipes.get((chunk.src, chunk.dst))
+        pipe = fabric._pipes.get((train.head.src, train.head.dst))
         if pipe is None or pipe.hops < 1:
             return None
         link = fabric.link
@@ -243,7 +243,7 @@ class TxDmaEngine:
         in_flight = pipe._in_flight
         if in_flight._items or in_flight._putters or not in_flight._getters:
             return None
-        port = fabric.ports.get(chunk.dst)
+        port = fabric.ports.get(train.head.dst)
         if port is None:
             return None
         rx_engine = port.rx_engine
@@ -256,24 +256,25 @@ class TxDmaEngine:
         rx_store = port.rx
         if rx_store._items or rx_store._putters or not rx_store._getters:
             return None
-        plan = rx_engine._plans.get(chunk.msg_id)
+        plan = rx_engine._plans.get(train.msg_id)
         if plan is None:
             return None
         return rx_engine, plan, pipe
 
-    def _bulk_commit(self, ready, chunks: list[WireChunk], start: int,
+    def _bulk_commit(self, ready, train: MessageTrain, start: int,
                      end: int, counts) -> None:
-        """Commit the side effects of ``chunks[start:end]`` released in bulk.
+        """Commit the side effects of chunks ``[start, end)`` released in bulk.
 
         Every counter, busy-time, and deposit mutation the chunk-exact
         path would have made across those release/transit/deposit cycles,
         applied in one pass; the caller has already slept the batched TX
         cost and verified via :meth:`_bulk_ready` that nothing else could
         have touched the pipe in between.  Attached busy timelines and
-        the wire hop counter take the run in closed form.
+        the wire hop counter take the run in closed form, and the run's
+        payload lands as one byte-range deposit.
         """
         nbulk = end - start
-        npackets = chunks[start].npackets
+        npackets = train.npackets(start)
         fabric = self.fabric
         cfg = self.config
         rx_engine, plan, pipe = ready
@@ -296,15 +297,17 @@ class TxDmaEngine:
         fcounts["packets_sent"] += npackets * nbulk
         fcounts["chunks_delivered"] += nbulk
         fabric.link.carry(npackets, nbulk)
-        port = fabric.ports[chunks[start].dst]
+        port = fabric.ports[train.head.dst]
         pcounts = port.stats.counts()
         pcounts["chunks_received"] += nbulk
         pcounts["packets_received"] += npackets * nbulk
         rx_engine.busy_time += rx_cost * nbulk
         rx_engine.counters.counts()["packets"] += npackets * nbulk
-        deposit = rx_engine._deposit
-        for k in range(start, end):
-            deposit(plan, chunks[k])
+        offset, nbytes = train.body_range(start, end)
+        data = train.payload
+        if data is not None:
+            data = data[offset : offset + nbytes]
+        rx_engine._deposit(plan, offset, nbytes, data)
 
 
 class RxDmaEngine:
@@ -407,26 +410,32 @@ class RxDmaEngine:
             if tracer is not None:
                 tracer.end(span)
             counts["packets"] += npackets
-            deposit(plan, chunk)
+            deposit(plan, chunk.payload_offset, chunk.nbytes, chunk.payload)
             if chunk.is_last:
                 del plans[chunk.msg_id]
                 counts["messages"] += 1
                 plan.on_complete(plan)
 
-    def _deposit(self, plan: DepositPlan, chunk: WireChunk) -> None:
-        """Copy the accepted portion of a payload chunk to host memory."""
-        start = chunk.payload_offset
-        nbytes = chunk.nbytes
+    def _deposit(self, plan: DepositPlan, start: int, nbytes: int, data: Any) -> None:
+        """Copy the accepted part of body bytes ``[start, start + nbytes)``
+        to host memory.
+
+        ``data`` holds exactly those bytes (a chunk's payload view, or a
+        bulk run's slice of the message payload), or None when the
+        sender supplied no bytes.  One chunk or a whole run: the accepted
+        prefix is clamped against ``accept_bytes`` either way, so a range
+        deposit equals the sum of its chunks' deposits.
+        """
         end = start + nbytes
         dest = plan.dest
         if end <= plan.accept_bytes:
-            # common case: the whole chunk is accepted
-            if nbytes > 0 and dest is not None and chunk.payload is not None:
-                dest[start:end] = chunk.payload
+            # common case: the whole range is accepted
+            if nbytes > 0 and dest is not None and data is not None:
+                dest[start:end] = data
             plan.deposited_bytes += nbytes
             return
         take = max(0, plan.accept_bytes - start)
-        if take > 0 and dest is not None and chunk.payload is not None:
-            dest[start : start + take] = chunk.payload[:take]
+        if take > 0 and dest is not None and data is not None:
+            dest[start : start + take] = data[:take]
         plan.deposited_bytes += take
         plan.discarded_bytes += nbytes - take

@@ -171,6 +171,23 @@ class Machine:
         """Advance the simulation."""
         return self.sim.run(until=until)
 
+    def release_host_memory(self) -> None:
+        """Let reference counting free the run's host buffers.
+
+        A machine is a web of reference cycles that only a full cyclic
+        collection frees, so every buffer reachable from it would outlive
+        the run until then.  This drops the machine's references into
+        host memory: suspended processes are closed (their frames hold
+        the last message handled), firmware pendings forget their host
+        state, and every NI drops its MDs' buffers.  Call once the run is
+        over; counters, metrics and traces stay readable.
+        """
+        self.sim.close()
+        for node in self.nodes.values():
+            node.firmware.release_host_refs()
+            for proc in node.processes.values():
+                proc.ni.release_buffers()
+
     @property
     def now(self) -> int:
         """Current simulation time (ps)."""

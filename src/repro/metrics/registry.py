@@ -260,6 +260,18 @@ class MetricsRegistry:
         """All registered timelines by name."""
         return {n: i for n, i in self._instruments.items() if isinstance(i, Timeline)}
 
+    def release(self) -> None:
+        """Drop every timeline's intervals once the caller has read them.
+
+        Components hold their instruments directly, and a finished
+        machine is cyclic garbage that only a full collection frees; an
+        8 MB sweep records tens of MB of intervals that would otherwise
+        wait with it.
+        """
+        for timeline in self.timelines().values():
+            timeline.starts = []
+            timeline.ends = []
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready summary of every instrument.
 

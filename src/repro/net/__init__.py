@@ -2,7 +2,7 @@
 
 from .fabric import Fabric, NetworkPort
 from .link import LinkModel
-from .packet import WireChunk, chunk_message, next_message_id
+from .packet import MessageTrain, WireChunk, chunk_message, next_message_id
 from .routing import (
     Router,
     RouteTable,
@@ -26,6 +26,7 @@ __all__ = [
     "min_cut_hops",
     "LinkModel",
     "WireChunk",
+    "MessageTrain",
     "chunk_message",
     "next_message_id",
     "Fabric",

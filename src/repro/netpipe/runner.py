@@ -118,7 +118,9 @@ class NetPipeRunner:
         self.metrics = metrics
         self.fault_plan = fault_plan
         self.bulk_events = bulk_events
-        #: the machine of the most recent :meth:`run` (chaos reporting)
+        #: the machine of the most recent :meth:`run` (chaos reporting);
+        #: its counters, metrics and traces stay readable, but its
+        #: processes are stopped and its host buffers released
         self.machine = None
         #: per-size measurement windows ``(nbytes, t0, t1)`` of the most
         #: recent :meth:`run` — the timed portion only (warmup excluded),
@@ -161,6 +163,7 @@ class NetPipeRunner:
                 raise RuntimeError(f"NetPIPE side {side} deadlocked")
             if not proc.ok:
                 raise proc.value
+        machine.release_host_memory()
         return Series(module=self.module.name, pattern=pattern, points=points)
 
     # -- patterns -----------------------------------------------------------

@@ -50,6 +50,14 @@ class NetworkInterface:
         self._me_count = 0
         self._eq_count = 0
 
+    def release_buffers(self) -> None:
+        """Drop the buffer of every MD still attached to a match entry:
+        the memory half of ``PtlNIFini``, for a run that has finished
+        (see :meth:`repro.machine.Machine.release_host_memory`)."""
+        for entry in self.table.entries():
+            if entry.md is not None:
+                entry.md.buffer = None
+
     # -- registry accounting (PtlNoSpace enforcement) ------------------------
     def register_md(self) -> None:
         """Account one new MD against the limit."""

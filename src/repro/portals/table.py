@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import PtlPtIndexInvalid
-from .me import MatchList
+from .me import MatchEntry, MatchList
 
 __all__ = ["PortalTable"]
 
@@ -34,6 +36,11 @@ class PortalTable:
                 f"portal index {ptl_index} outside table of size {self.size}"
             )
         return self._lists[ptl_index]
+
+    def entries(self) -> Iterator[MatchEntry]:
+        """Every match entry linked anywhere in the table."""
+        for ml in self._lists:
+            yield from ml
 
     def total_entries(self) -> int:
         """Match entries across the whole table (resource accounting)."""

@@ -284,6 +284,7 @@ def _run_stats(request: Dict[str, Any]) -> Dict[str, Any]:
     )
     series = runner.run(request["pattern"], request["sizes"])
     rows = attribute_windows(runner.machine.metrics, runner.windows)
+    runner.machine.metrics.release()
     return {
         "kind": "stats",
         "module": series.module,

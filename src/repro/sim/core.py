@@ -81,6 +81,7 @@ instead of being silently swallowed.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -314,6 +315,7 @@ class Process(Event):
         self._send = gen.send
         self._waited = self._process_waited
         self.name = name or getattr(gen, "__name__", "process")
+        sim._gens.add(gen)
         # Kick off at the current time.
         start = Event(sim)
         start._ok = True
@@ -553,6 +555,7 @@ class Simulator:
         "bulk_events",
         "_bulk_extra",
         "_arena",
+        "_gens",
     )
 
     def __init__(
@@ -579,6 +582,8 @@ class Simulator:
         self._bulk_extra: int = 0
         # free-list of spent flattened-sleep records, recycled by _step
         self._arena: list[list] = []
+        # every process generator not yet freed, for close()
+        self._gens: weakref.WeakSet[Generator] = weakref.WeakSet()
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -592,6 +597,18 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start running ``gen`` as a process."""
         return Process(self, gen, name=name)
+
+    def close(self) -> None:
+        """Stop every process that is still suspended.
+
+        Closing a generator releases its frame, and with it whatever its
+        locals hold: a finished run's daemons (DMA engines, firmware
+        loops) still hold the last message they handled.  Their
+        ``finally`` clauses run here instead of whenever the cyclic
+        collector reaches them.  Call only once the simulation is over.
+        """
+        for gen in list(self._gens):
+            gen.close()
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event combinator: first of ``events``."""

@@ -144,6 +144,48 @@ class TestRxEngine:
         assert plan.discarded_bytes == 8192 - 1000
         assert np.array_equal(dest, payload[:1000])
 
+    @pytest.mark.parametrize("run", [(1, 3), (2, 4), (1, 4)])
+    @pytest.mark.parametrize("accept", [0, 1500, 2048, 10000])
+    @pytest.mark.parametrize("with_dest", [True, False])
+    @pytest.mark.parametrize("with_payload", [True, False])
+    def test_range_deposit_equals_per_chunk_deposits(
+        self, rig, run, accept, with_dest, with_payload
+    ):
+        """One deposit over a run of chunks == those chunks deposited one
+        by one: accept_bytes at 0, mid-chunk, on a chunk boundary, and
+        beyond the body (2500 B body: two 1 KB chunks and a tail)."""
+        cfg, fabric, tx, rx, _ = rig
+        body = 2500
+        payload = (
+            (np.arange(body) % 251).astype(np.uint8) if with_payload else None
+        )
+        train = chunk_message(
+            src=0, dst=1, header="H", body_bytes=body, payload=payload,
+            packet_bytes=cfg.packet_bytes, chunk_bytes=cfg.chunk_bytes,
+        )
+        assert cfg.chunk_bytes == 1024 and len(train) == 4
+
+        def plan():
+            return DepositPlan(
+                msg_id=train.msg_id,
+                dest=np.zeros(body, np.uint8) if with_dest else None,
+                accept_bytes=accept,
+                on_complete=lambda p: None,
+            )
+
+        per_chunk, ranged = plan(), plan()
+        for i in range(*run):
+            c = train[i]
+            rx._deposit(per_chunk, c.payload_offset, c.nbytes, c.payload)
+        offset, nbytes = train.body_range(*run)
+        data = payload[offset : offset + nbytes] if with_payload else None
+        rx._deposit(ranged, offset, nbytes, data)
+        assert ranged.deposited_bytes == per_chunk.deposited_bytes
+        assert ranged.discarded_bytes == per_chunk.discarded_bytes
+        assert ranged.deposited_bytes + ranged.discarded_bytes == nbytes
+        if with_dest:
+            assert np.array_equal(ranged.dest, per_chunk.dest)
+
     def test_stall_until_programmed(self, rig, sim):
         """Payload chunks head-of-line block until the firmware programs
         the deposit (the generic-mode latency mechanism)."""

@@ -113,3 +113,104 @@ class TestChunking:
         a = next_message_id()
         b = next_message_id()
         assert b == a + 1
+
+
+def _oracle_chunks(
+    *, body, chunk_bytes, packet, inline, payload, msg_id, header="H"
+):
+    """Reference chunker: one eagerly built WireChunk per chunk."""
+    chunks = [
+        WireChunk(
+            msg_id=msg_id, src=0, dst=1, seq=0, npackets=1, nbytes=inline,
+            is_header=True, is_last=body == 0, header=header,
+        )
+    ]
+    offset = 0
+    seq = 1
+    while offset < body:
+        take = min(chunk_bytes, body - offset)
+        chunks.append(
+            WireChunk(
+                msg_id=msg_id, src=0, dst=1, seq=seq,
+                npackets=-(-take // packet), nbytes=take, is_header=False,
+                is_last=offset + take >= body, header=None,
+                payload=(
+                    payload[offset : offset + take]
+                    if payload is not None else None
+                ),
+                payload_offset=offset,
+            )
+        )
+        offset += take
+        seq += 1
+    return chunks
+
+
+def _same_chunk(a, b):
+    for name in (
+        "msg_id", "src", "dst", "seq", "npackets", "nbytes", "is_header",
+        "is_last", "header", "payload_offset", "meta",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+    if b.payload is None:
+        assert a.payload is None
+    else:
+        assert np.array_equal(a.payload, b.payload)
+
+
+@pytest.mark.property
+@settings(max_examples=200, deadline=None)
+@given(
+    packet=st.sampled_from([8, 16, 64]),
+    packets_per_chunk=st.integers(1, 4),
+    body_chunks=st.integers(0, 3),
+    tail=st.integers(0, 255),
+    inline=st.integers(0, 12),
+    with_payload=st.booleans(),
+)
+def test_train_matches_list_oracle(
+    packet, packets_per_chunk, body_chunks, tail, inline, with_payload
+):
+    chunk_bytes = packet * packets_per_chunk
+    body = body_chunks * chunk_bytes + tail % chunk_bytes
+    payload = (
+        (np.arange(body) % 251).astype(np.uint8) if with_payload else None
+    )
+    train = _chunks(
+        body, chunk_bytes=chunk_bytes, packet=packet, inline=inline,
+        payload=payload,
+    )
+    oracle = _oracle_chunks(
+        body=body, chunk_bytes=chunk_bytes, packet=packet, inline=inline,
+        payload=payload, msg_id=train[0].msg_id,
+    )
+    n = len(oracle)
+    assert len(train) == n
+    assert train.total_bytes == sum(c.nbytes for c in oracle)
+    # indexing, negative indexing, slicing and iteration all materialize
+    # the same chunks the oracle builds eagerly
+    for got, want in zip(train, oracle, strict=True):
+        _same_chunk(got, want)
+    for i in range(-n, n):
+        _same_chunk(train[i], oracle[i])
+    for got, want in zip(train[1:], oracle[1:], strict=True):
+        _same_chunk(got, want)
+    with pytest.raises(IndexError):
+        train[n]
+    # every payload chunk is built fresh, with its own meta
+    if n > 1:
+        assert train[1] is not train[1]
+        assert train[1].meta is not train[1].meta
+    for i in range(n):
+        assert train.npackets(i) == oracle[i].npackets
+        # O(1) run end == brute-force maximal equal-npackets scan
+        end = i + 1
+        while end < n and oracle[end].npackets == oracle[i].npackets:
+            end += 1
+        assert train.run_end(i) == end, i
+    for start in range(1, n):
+        for end in range(start + 1, n + 1):
+            assert train.body_range(start, end) == (
+                oracle[start].payload_offset,
+                sum(c.nbytes for c in oracle[start:end]),
+            )

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,10 +386,18 @@ def _sweep_fingerprint(bulk, sizes, trace, metrics, plan_name):
     """Run a pingpong sweep; return (comparable-state, machine)."""
     from repro.faults.plan import named_plan
     from repro.fw.firmware import ExhaustionPolicy
+    from repro.hw.dma import RxDmaEngine
     from repro.metrics.export import machine_counters
     from repro.netpipe import NetPipeRunner, PortalsPutModule
 
     plan = named_plan(plan_name) if plan_name else None
+    deposit_plans: list = []
+    program = RxDmaEngine.program
+
+    def recording_program(engine, deposit_plan):
+        deposit_plans.append(deposit_plan)
+        return program(engine, deposit_plan)
+
     runner = NetPipeRunner(
         PortalsPutModule(),
         repeats=1,
@@ -401,13 +410,19 @@ def _sweep_fingerprint(bulk, sizes, trace, metrics, plan_name):
         ),
         bulk_events=bulk,
     )
-    series = runner.run("pingpong", sizes)
+    with mock.patch.object(RxDmaEngine, "program", recording_program):
+        series = runner.run("pingpong", sizes)
     machine = runner.machine
     state = {
         "points": series.points,
         "now": machine.sim.now,
         "events": machine.sim.events_scheduled,
         "counters": machine_counters(machine),
+        # byte accounting of every receive, bulk-deposited runs included
+        "deposits": [
+            (p.accept_bytes, p.deposited_bytes, p.discarded_bytes)
+            for p in deposit_plans
+        ],
     }
     if trace:
         # msg_ids come from a process-global allocator, so back-to-back
@@ -430,6 +445,55 @@ def _sweep_fingerprint(bulk, sizes, trace, metrics, plan_name):
     return state, machine
 
 
+class _Materialized:
+    """Counts, while active, every payload ``WireChunk`` a
+    :class:`MessageTrain` builds, every transmission submitted, and every
+    refusal of the TX bulk gate."""
+
+    def __init__(self):
+        from repro.hw.dma import TxDmaEngine
+        from repro.net.packet import MessageTrain
+
+        self.built: dict = {}  # (train id, index) -> chunks built there
+        self.chunks: list = []
+        self.transmissions: list = []
+        self.refusals = 0
+        chunk, submit = MessageTrain.chunk, TxDmaEngine.submit
+        ready = TxDmaEngine._bulk_ready
+
+        def counted_chunk(train, i):
+            c = chunk(train, i)
+            if i > 0:
+                key = (id(train), i)
+                self.built[key] = self.built.get(key, 0) + 1
+                self.chunks.append(c)
+            return c
+
+        def counted_submit(engine, tx):
+            self.transmissions.append(tx)
+            return submit(engine, tx)
+
+        def counted_ready(engine, *args):
+            out = ready(engine, *args)
+            self.refusals += out is None
+            return out
+
+        self._patches = [
+            mock.patch.object(MessageTrain, "chunk", counted_chunk),
+            mock.patch.object(TxDmaEngine, "submit", counted_submit),
+            mock.patch.object(TxDmaEngine, "_bulk_ready", counted_ready),
+        ]
+
+    def __enter__(self):
+        for p in self._patches:
+            p.start()
+        return self
+
+    def __exit__(self, *exc):
+        for p in reversed(self._patches):
+            p.stop()
+
+
 @given(
     sizes=st.lists(
         st.sampled_from(_BULK_SIZES), min_size=1, max_size=2, unique=True
@@ -441,9 +505,10 @@ def _sweep_fingerprint(bulk, sizes, trace, metrics, plan_name):
 def test_bulk_events_invisible_under_any_observer_mix(
     sizes, trace, metrics, plan_name
 ):
-    fast, fast_machine = _sweep_fingerprint(
-        True, sizes, trace, metrics, plan_name
-    )
+    with _Materialized() as mat:
+        fast, fast_machine = _sweep_fingerprint(
+            True, sizes, trace, metrics, plan_name
+        )
     exact, exact_machine = _sweep_fingerprint(
         False, sizes, trace, metrics, plan_name
     )
@@ -451,6 +516,12 @@ def test_bulk_events_invisible_under_any_observer_mix(
 
     # bulk=False must never elide anything...
     assert exact_machine.sim._bulk_extra == 0
+    # no payload chunk is ever built twice: a refused bulk gate neither
+    # rescans nor rebuilds the message
+    assert all(n == 1 for n in mat.built.values())
+    trains = [tx.chunks for tx in mat.transmissions]
+    messages = sum(len(t) > 1 for t in trains)
+    built = len(mat.chunks)
     # ...and with no tracer or fault plan, a multi-chunk sweep must
     # actually engage the bulk path, metrics registry attached or not
     # (guards against the gate silently always falling back to
@@ -458,9 +529,20 @@ def test_bulk_events_invisible_under_any_observer_mix(
     if not trace and plan_name is None and max(sizes) >= 65536:
         assert fast_machine.sim._bulk_extra > 0
         assert fast_machine.sim._seq < exact_machine.sim._seq
-    # a tracer or fault plan forces chunk-exact: identical raw heap traffic
+        # Chunks are built only where the gate refuses (before the
+        # receiver's deposit plan is programmed: a fixed latency, not a
+        # share of the message) or where a run or the message ends --
+        # O(messages + runs), never O(chunks): a 256-chunk message must
+        # not build a chunk per chunk.
+        assert built <= mat.refusals + 2 * messages
+        assert built <= 16 * messages
+    # a tracer or fault plan forces chunk-exact: identical raw heap
+    # traffic, and every chunk built exactly once with its own meta (the
+    # fault injector's CRC-corrupt flag lives there)
     if trace or plan_name is not None:
         assert fast_machine.sim._bulk_extra == 0
+        assert built == sum(len(t) - 1 for t in trains)
+        assert len({id(c.meta) for c in mat.chunks}) == built
 
 
 @given(

@@ -118,6 +118,28 @@ class TestProcess:
         sim.run()
         assert proc.value == 99
 
+    def test_close_stops_suspended_processes(self, sim):
+        """close() ends every process still parked at a yield (running
+        its finally clauses) and leaves finished ones alone."""
+        log = []
+
+        def parked():
+            try:
+                yield sim.event()  # never triggered
+            finally:
+                log.append("parked closed")
+
+        def finished():
+            yield 1
+            log.append("finished")
+
+        p = sim.process(parked())
+        sim.process(finished())
+        sim.run()
+        assert log == ["finished"] and p.is_alive
+        sim.close()
+        assert log == ["finished", "parked closed"]
+
     def test_requires_generator(self, sim):
         with pytest.raises(TypeError):
             Process(sim, lambda: None)  # type: ignore[arg-type]
