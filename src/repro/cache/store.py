@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +100,9 @@ class ResultCache:
     def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = Path(root)
         self.stats = CacheStats()
+        # concurrent readers (the serve front end's handler threads)
+        # would otherwise lose increments
+        self._stats_lock = threading.Lock()
 
     def path_for(self, key: str) -> Path:
         """Where the artifact for ``key`` lives (existing or not)."""
@@ -112,17 +116,22 @@ class ResultCache:
         Anything unreadable — absent, torn mid-write, not JSON, wrong
         schema, key mismatch — is a miss; the caller re-simulates.
         """
-        doc = self._load(self.path_for(key))
-        if doc is None or doc.get("key") != key:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+        doc = self.peek(key)
+        with self._stats_lock:
+            if doc is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
         return doc
 
-    def contains(self, key: str) -> bool:
+    def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` but without touching the hit/miss stats."""
         doc = self._load(self.path_for(key))
-        return doc is not None and doc.get("key") == key
+        return doc if doc is not None and doc.get("key") == key else None
+
+    def contains(self, key: str) -> bool:
+        """Whether :meth:`peek` would find ``key``."""
+        return self.peek(key) is not None
 
     def put(
         self,
@@ -160,7 +169,8 @@ class ResultCache:
                 os.fsync(fh.fileno())
                 os.kill(os.getpid(), signal.SIGKILL)
         atomic_write_bytes(str(path), blob)
-        self.stats.stores += 1
+        with self._stats_lock:
+            self.stats.stores += 1
         return doc
 
     @staticmethod

@@ -480,7 +480,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         cache_dir=args.cache,
         workers=args.workers,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         task_timeout_s=args.task_timeout,
         verbose=args.verbose,
@@ -811,12 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
              "in-process); >1 shards across the self-healing pool",
     )
     serve_cmd.add_argument(
-        "--batch-window-ms", type=float, default=50.0,
-        help="how long the dispatcher collects a batch (default 50 ms)",
-    )
-    serve_cmd.add_argument(
         "--max-batch", type=int, default=32,
-        help="largest request batch per dispatch cycle (default 32)",
+        help="most queued misses taken per dispatch cycle (default 32)",
     )
     serve_cmd.add_argument(
         "--task-timeout", type=float, default=600.0,

@@ -2,12 +2,12 @@
 
 The "heavy traffic" reading of the north star for a deterministic
 simulator: an HTTP front end (``repro serve``) that accepts
-sweep/trace/chaos/stats requests, funnels them through a batching
-dispatcher, serves repeats from the content-addressed result store
-(:mod:`repro.cache`), and shards cache misses across the self-healing
-worker pool.  Every response carries the content address and a
-provenance record, so any served number is traceable to its exact
-inputs and code version.
+sweep/trace/chaos/stats requests, answers repeats from the
+content-addressed result store (:mod:`repro.cache`) on the request
+thread, deduplicates concurrent misses single-flight, and shards them
+across the self-healing worker pool.  Every response carries the
+content address and a provenance record, so any served number is
+traceable to its exact inputs and code version.
 """
 
 from .api import (
@@ -17,13 +17,14 @@ from .api import (
     normalize_request,
     request_summary,
 )
-from .batch import BatchQueue, QueueStats, ServiceError
+from .batch import BatchQueue, Overloaded, QueueStats, ServiceError
 from .server import ReproServer
 
 __all__ = [
     "KINDS",
     "RequestError",
     "ServiceError",
+    "Overloaded",
     "BatchQueue",
     "QueueStats",
     "ReproServer",

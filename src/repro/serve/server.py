@@ -1,8 +1,9 @@
 """The HTTP front end: ``repro serve``.
 
 Stdlib only (:mod:`http.server`), threaded: each connection gets a
-handler thread that blocks in :meth:`BatchQueue.submit` while the
-dispatcher batches, memoizes, and shards the actual work.  Endpoints:
+handler thread that answers cache hits itself and otherwise blocks in
+:meth:`BatchQueue.submit` while the dispatcher deduplicates and shards
+the actual work.  Endpoints:
 
 * ``GET  /v1/health`` — liveness + the code/package versions keys are
   derived from;
@@ -19,22 +20,24 @@ dispatcher batches, memoizes, and shards the actual work.  Endpoints:
   independently.
 
 Responses: ``200 {"ok": true, "response": {cache, key, result,
-provenance}}``, ``400`` on validation errors, ``500`` on execution
-failures, ``404``/``405`` elsewhere.
+provenance}}``, ``400`` on validation errors, ``429`` with
+``Retry-After`` when the in-flight miss cap is reached, ``500`` on
+execution failures, ``404``/``405`` elsewhere.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..cache import ResultCache, code_version
 from ..telemetry.serve import serve_metrics_document
 from .api import KINDS, RequestError
-from .batch import BatchQueue, ServiceError
+from .batch import BatchQueue, Overloaded, ServiceError
 
 __all__ = ["ReproServer"]
 
@@ -42,11 +45,17 @@ __all__ = ["ReproServer"]
 #: request is a few hundred bytes; this is pure abuse protection)
 MAX_BODY_BYTES = 1 << 20
 
+#: seconds a client refused with 429 is asked to wait before retrying
+RETRY_AFTER_S = 1
+
 
 class _Handler(BaseHTTPRequestHandler):
     # set per-server via type(); never instantiated unbound
     repro_server: "ReproServer"
     protocol_version = "HTTP/1.1"
+    # headers and body go out as two small writes; with Nagle on, the
+    # second waits for the client's delayed ACK (~40 ms per response)
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -58,6 +67,8 @@ class _Handler(BaseHTTPRequestHandler):
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        if status == 429:
+            self.send_header("Retry-After", str(RETRY_AFTER_S))
         self.send_header("Content-Length", str(len(blob)))
         self.end_headers()
         self.wfile.write(blob)
@@ -148,28 +159,27 @@ class _Handler(BaseHTTPRequestHandler):
                 {"ok": False, "error": "batch body must be {'requests': [...]}"},
             )
             return
-        responses: List[Dict[str, Any]] = []
-        threads: List[threading.Thread] = []
-        slots: List[Optional[Tuple[int, Dict[str, Any]]]] = [None] * len(requests)
+        answers = self.repro_server.handle_batch(requests)
+        ok = all(status == 200 for status, _ in answers)
+        self._send_json(
+            200 if ok else 207,
+            {"ok": ok, "responses": [response for _, response in answers]},
+        )
 
-        def run(i: int, item: Any) -> None:
-            slots[i] = self.repro_server.handle(item)
 
-        # one waiter thread per item so the whole batch lands in the same
-        # dispatcher window and dedups/shards together
-        for i, item in enumerate(requests):
-            t = threading.Thread(target=run, args=(i, item), daemon=True)
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
-        ok = True
-        for slot in slots:
-            assert slot is not None
-            status, response = slot
-            ok = ok and status == 200
-            responses.append(response)
-        self._send_json(200 if ok else 207, {"ok": ok, "responses": responses})
+def _answer(
+    call: Callable[..., Dict[str, Any]], *args: Any, **kwargs: Any
+) -> Tuple[int, Dict[str, Any]]:
+    """Run one queue call; map its outcome to (status, response)."""
+    try:
+        response = call(*args, **kwargs)
+    except RequestError as exc:
+        return 400, {"ok": False, "error": str(exc)}
+    except Overloaded as exc:
+        return 429, {"ok": False, "error": str(exc)}
+    except ServiceError as exc:
+        return 500, {"ok": False, "error": str(exc)}
+    return 200, {"ok": True, "response": response}
 
 
 class ReproServer:
@@ -187,7 +197,6 @@ class ReproServer:
         port: int = 0,
         cache_dir: Optional[str] = None,
         workers: int = 1,
-        batch_window_s: float = 0.05,
         max_batch: int = 32,
         task_timeout_s: float = 600.0,
         request_timeout_s: float = 600.0,
@@ -201,7 +210,6 @@ class ReproServer:
         self.queue = BatchQueue(
             self.cache,
             workers=workers,
-            batch_window_s=batch_window_s,
             max_batch=max_batch,
             task_timeout_s=task_timeout_s,
         )
@@ -221,13 +229,24 @@ class ReproServer:
 
     def handle(self, doc: Any) -> Tuple[int, Dict[str, Any]]:
         """Process one request document; returns (status, response)."""
-        try:
-            response = self.queue.submit(doc, timeout_s=self.request_timeout_s)
-        except RequestError as exc:
-            return 400, {"ok": False, "error": str(exc)}
-        except ServiceError as exc:
-            return 500, {"ok": False, "error": str(exc)}
-        return 200, {"ok": True, "response": response}
+        return _answer(self.queue.submit, doc, timeout_s=self.request_timeout_s)
+
+    def handle_batch(self, docs: List[Any]) -> List[Tuple[int, Dict[str, Any]]]:
+        """Register every document, then wait on each within one deadline.
+
+        All misses enter the queue together, so they dedup and shard
+        together; no thread is started per item.
+        """
+        tickets = self.queue.enqueue(docs)
+        deadline = time.monotonic() + self.request_timeout_s
+        return [
+            _answer(
+                self.queue.wait,
+                ticket,
+                timeout_s=max(0.0, deadline - time.monotonic()),
+            )
+            for ticket in tickets
+        ]
 
     # -- lifecycle -----------------------------------------------------------
 

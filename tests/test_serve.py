@@ -5,7 +5,10 @@ end end-to-end on an ephemeral port.
 
 import http.client
 import json
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -124,7 +127,7 @@ class TestExecute:
 
 @pytest.fixture
 def queue_with_cache(tmp_path):
-    q = BatchQueue(ResultCache(tmp_path), batch_window_s=0.01)
+    q = BatchQueue(ResultCache(tmp_path))
     q.start()
     yield q
     q.stop()
@@ -146,7 +149,7 @@ class TestBatchQueue:
         assert q.cache.stats.stores == 1
 
     def test_concurrent_identical_requests_simulate_once(self, tmp_path):
-        q = BatchQueue(ResultCache(tmp_path), batch_window_s=0.25)
+        q = BatchQueue(ResultCache(tmp_path))
         q.start()
         try:
             responses = [None] * 3
@@ -162,8 +165,9 @@ class TestBatchQueue:
             for t in threads:
                 t.join()
             # one simulation, one stored artifact, three identical answers
-            # (late arrivals land in a second batch and hit the store)
+            # (an arrival after the store is a hit, never a second run)
             assert q.stats.executed == 1
+            assert q.stats.deduplicated + q.cache.stats.hits == 2
             assert q.cache.stats.stores == 1
             keys = {r["key"] for r in responses}
             results = [r["result"] for r in responses]
@@ -173,25 +177,13 @@ class TestBatchQueue:
             q.stop()
 
     def test_distinct_misses_shard_across_the_pool(self, tmp_path):
-        q = BatchQueue(
-            ResultCache(tmp_path), workers=2, batch_window_s=0.25
-        )
+        q = BatchQueue(ResultCache(tmp_path), workers=2)
         q.start()
         try:
             docs = [sweep(), {"kind": "trace", "size": 64}]
-            responses = [None] * len(docs)
-
-            def ask(i):
-                responses[i] = q.submit(docs[i], timeout_s=300)
-
-            threads = [
-                threading.Thread(target=ask, args=(i,))
-                for i in range(len(docs))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # registered together, so one dispatcher pass shards both
+            tickets = q.enqueue(docs)
+            responses = [q.wait(t, timeout_s=300) for t in tickets]
             assert all(r is not None for r in responses)
             assert {r["result"]["kind"] for r in responses} == {"sweep", "trace"}
             # pooled answers memoize exactly like inline ones
@@ -200,7 +192,7 @@ class TestBatchQueue:
             q.stop()
 
     def test_no_cache_still_attaches_provenance(self):
-        q = BatchQueue(None, batch_window_s=0.01)
+        q = BatchQueue(None)
         q.start()
         try:
             first = q.submit({"kind": "trace", "size": 64}, timeout_s=120)
@@ -223,7 +215,7 @@ class TestBatchQueue:
             raise RuntimeError("simulated executor crash")
 
         monkeypatch.setattr(batch_mod, "execute_payload", boom)
-        q = BatchQueue(ResultCache(tmp_path), batch_window_s=0.01)
+        q = BatchQueue(ResultCache(tmp_path))
         q.start()
         try:
             with pytest.raises(ServiceError, match="simulated executor crash"):
@@ -238,13 +230,121 @@ class TestBatchQueue:
         with pytest.raises(ServiceError, match="timed out"):
             q.submit(sweep(), timeout_s=0.05)
 
+    def test_hit_is_answered_without_the_dispatcher(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        request = normalize_request({"kind": "trace", "size": 64})
+        cache.put(cache_key(request), {"v": 1}, request=request,
+                  kind="trace", wall_s=0.0)
+        q = BatchQueue(cache)  # never started: only a hit can be answered
+        response = q.submit({"kind": "trace", "size": 64}, timeout_s=0)
+        assert response["cache"] == "hit" and response["result"] == {"v": 1}
+        assert q.stats.batches == 0
+        (span,) = q.telemetry.recent_requests()
+        assert span["queue_wait_s"] == 0.0
+
+    def test_timed_out_request_is_abandoned_not_executed(self, tmp_path):
+        q = BatchQueue(ResultCache(tmp_path))
+        with pytest.raises(ServiceError, match="timed out"):
+            q.submit({"kind": "trace", "size": 64}, timeout_s=0.05)
+        q.start()
+        try:
+            deadline = time.monotonic() + 30
+            while q.stats.abandoned == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert q.stats.executed == 0 and q.stats.abandoned == 1
+            # the dropped key left the in-flight map: asking again runs it
+            again = q.submit({"kind": "trace", "size": 64}, timeout_s=120)
+            assert again["cache"] == "miss" and q.stats.executed == 1
+        finally:
+            q.stop()
+
+    def test_dispatcher_rereads_the_store_before_executing(self, tmp_path):
+        """A miss that registers after its twin stored is answered from
+        the store: no second simulation, and no second lookup counted."""
+        q = BatchQueue(ResultCache(tmp_path))  # not started yet
+        (ticket,) = q.enqueue([{"kind": "trace", "size": 64}])
+        request = normalize_request({"kind": "trace", "size": 64})
+        q.cache.put(cache_key(request), {"v": 1}, request=request,
+                    kind="trace", wall_s=0.0)  # the twin stores
+        q.start()
+        try:
+            response = q.wait(ticket, timeout_s=60)
+        finally:
+            q.stop()
+        assert response["result"] == {"v": 1} and response["cache"] == "miss"
+        assert q.stats.executed == 0 and q.stats.deduplicated == 1
+        assert q.cache.stats.misses == 1 and q.cache.stats.hits == 0
+
+    def test_new_misses_past_the_cap_are_refused(self, tmp_path):
+        from repro.serve import Overloaded
+        from repro.serve.batch import MAX_INFLIGHT_MISSES
+
+        cache = ResultCache(tmp_path)
+        hit = normalize_request({"kind": "trace", "size": 1})
+        cache.put(cache_key(hit), {"v": 1}, request=hit, kind="trace",
+                  wall_s=0.0)
+        q = BatchQueue(cache)  # never started: every miss stays in flight
+        for size in range(2, 2 + MAX_INFLIGHT_MISSES):
+            with pytest.raises(ServiceError, match="timed out"):
+                q.submit({"kind": "trace", "size": size}, timeout_s=0)
+        with pytest.raises(Overloaded):
+            q.submit({"kind": "trace", "size": 9999}, timeout_s=0)
+        # joining an in-flight key is never refused, nor is a hit
+        with pytest.raises(ServiceError, match="timed out"):
+            q.submit({"kind": "trace", "size": 2}, timeout_s=0)
+        assert q.submit({"kind": "trace", "size": 1}, timeout_s=0)["cache"] == "hit"
+        assert q.stats.rejected == 1 and q.stats.deduplicated == 1
+
+    def test_accounting_is_exact_under_concurrent_callers(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.batch as batch_mod
+
+        monkeypatch.setattr(
+            batch_mod, "execute_payload",
+            lambda request: {"result": {"size": request["size"]}, "wall_s": 0.0},
+        )
+        q = BatchQueue(ResultCache(tmp_path))
+        q.start()
+        answers = []
+        errors = []
+
+        def ask(thread):
+            try:
+                for i in range(25):
+                    size = 1 + (thread + i) % 5
+                    doc = {"kind": "trace", "size": size}
+                    answers.append(q.submit(doc, timeout_s=60)["cache"])
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            q.stop()
+        assert not errors
+        stats, cache = q.stats, q.cache.stats
+        assert stats.requests == 100 == len(answers)
+        assert cache.hits + cache.misses == 100  # one lookup per request
+        assert stats.executed == cache.stores == 5  # each key simulates once
+        assert stats.requests == cache.hits + stats.executed + stats.deduplicated
+        assert answers.count("hit") == cache.hits
+
 
 # -- the HTTP front end ------------------------------------------------------
 
 
 @pytest.fixture
 def server(tmp_path):
-    srv = ReproServer(port=0, cache_dir=str(tmp_path), batch_window_s=0.01)
+    srv = ReproServer(port=0, cache_dir=str(tmp_path))
     srv.start()
     conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=300)
     yield srv, conn
@@ -306,6 +406,63 @@ class TestHTTP:
         assert stats["queue"]["requests"] == 3
         assert srv.cache.stats.stores == 2  # sweep deduped, trace distinct
 
+    def test_batch_registers_items_without_threads_and_shards_misses(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.batch as batch_mod
+
+        pool_calls = []
+
+        def counting_pool(tasks, fn, *, workers, timeout_s):
+            pool_calls.append(len(tasks))
+            return SimpleNamespace(
+                results={t.task_id: fn(t.payload) for t in tasks}, failed={}
+            )
+
+        monkeypatch.setattr(batch_mod, "run_pool", counting_pool)
+        srv = ReproServer(port=0, cache_dir=str(tmp_path), workers=2)
+        srv.start()
+        conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=300)
+        conn.connect()  # the connection's handler thread exists before we count
+        peak = []
+        done = threading.Event()
+
+        def watch():
+            while not done.is_set():
+                peak.append(threading.active_count())
+                time.sleep(0.0005)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            base = threading.active_count()
+            items = [{"kind": "trace", "size": 64 if i % 2 else 128}
+                     for i in range(32)]
+            status, doc = post(conn, "/v1/batch", {"requests": items})
+        finally:
+            done.set()
+            watcher.join(timeout=10)
+            conn.close()
+            srv.stop()
+        assert not watcher.is_alive()
+        assert status == 200 and doc["ok"] and len(doc["responses"]) == 32
+        assert max(peak) - base <= 2
+        assert pool_calls == [2]  # the 2 distinct misses shard together
+        assert srv.queue.stats.executed == 2
+        assert srv.queue.stats.deduplicated == 30
+
+    def test_overloaded_is_429_with_retry_after(self, server, monkeypatch):
+        import repro.serve.batch as batch_mod
+
+        srv, conn = server
+        monkeypatch.setattr(batch_mod, "MAX_INFLIGHT_MISSES", 0)
+        conn.request("POST", "/v1/trace", body=json.dumps({"size": 64}))
+        resp = conn.getresponse()
+        doc = json.loads(resp.read())
+        assert resp.status == 429 and not doc["ok"]
+        assert int(resp.getheader("Retry-After")) >= 1
+        assert srv.queue.stats.rejected == 1
+
     def test_batch_items_fail_independently(self, server):
         _, conn = server
         status, doc = post(
@@ -336,7 +493,7 @@ class TestHTTP:
         assert status == 404
 
     def test_handle_usable_without_sockets(self, tmp_path):
-        srv = ReproServer(cache_dir=str(tmp_path), batch_window_s=0.01)
+        srv = ReproServer(cache_dir=str(tmp_path))
         srv.queue.start()
         try:
             status, doc = srv.handle({"kind": "trace", "size": 64})

@@ -436,7 +436,7 @@ class TestPoolLifecycle:
 
 @pytest.fixture
 def server(tmp_path):
-    srv = ReproServer(port=0, cache_dir=str(tmp_path), batch_window_s=0.01)
+    srv = ReproServer(port=0, cache_dir=str(tmp_path))
     srv.start()
     conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=300)
     yield srv, conn
@@ -471,7 +471,9 @@ class TestServeTelemetry:
         assert queue["requests"] == 2
         assert queue["depth"] == 0
         assert queue["queue_depth"]["samples"] >= 2
-        assert queue["batch_sizes"]["samples"] >= 2
+        # the miss is the only batch: a hit never reaches the dispatcher
+        assert queue["batches"] == 1
+        assert queue["batch_sizes"]["samples"] == 1
         assert queue["batch_sizes"]["max"] >= 1
         spans = doc["recent_requests"]
         assert [span["cache"] for span in spans] == ["miss", "hit"]
@@ -481,7 +483,8 @@ class TestServeTelemetry:
                 "normalize_s", "queue_wait_s", "lookup_s",
                 "execute_s", "store_s",
             } <= set(span)
-        # a hit costs a lookup, never an execute or store
+        # a hit costs a lookup, never a queue wait, an execute or a store
+        assert spans[1]["queue_wait_s"] == 0.0
         assert spans[1]["execute_s"] == 0.0 and spans[1]["store_s"] == 0.0
         assert spans[0]["execute_s"] > 0.0
 
