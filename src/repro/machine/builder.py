@@ -51,8 +51,7 @@ class PartitionPlan:
 
     def owner_of(self, topo: Torus3D, node: int) -> int:
         """Partition index owning ``node`` (O(nparts))."""
-        c = topo.coord(node)
-        v = (c.x, c.y, c.z)[self.axis]
+        v = topo.axis_coord(node, self.axis)
         for idx, (lo, hi) in enumerate(self.ranges):
             if lo <= v < hi:
                 return idx
@@ -78,16 +77,13 @@ def partition_nodes(
     extent = topo.dims[axis]
     eff = min(nparts, extent)
     ranges = tuple(((extent * k) // eff, (extent * (k + 1)) // eff) for k in range(eff))
+    # slab index of every coordinate value along the cut axis
+    slab_of = [idx for idx, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
     buckets: list[list[int]] = [[] for _ in range(eff)]
     # node ids are x-fastest; walking them in order keeps each bucket
     # sorted without a per-bucket sort afterwards
     for node in range(topo.num_nodes):
-        c = topo.coord(node)
-        v = (c.x, c.y, c.z)[axis]
-        for idx, (lo, hi) in enumerate(ranges):
-            if lo <= v < hi:
-                buckets[idx].append(node)
-                break
+        buckets[slab_of[topo.axis_coord(node, axis)]].append(node)
     return PartitionPlan(
         axis=axis,
         ranges=ranges,

@@ -32,6 +32,9 @@ class Coord:
 #: Direction labels in router-port order (matches Fig. 1: X+, X-, Y+, Y-, Z+, Z-).
 DIRECTIONS: tuple[str, ...] = ("x+", "x-", "y+", "y-", "z+", "z-")
 
+#: (plus, minus) port labels per axis, x then y then z
+_AXIS_PORTS: tuple[tuple[str, str], ...] = (("x+", "x-"), ("y+", "y-"), ("z+", "z-"))
+
 _DELTAS: dict[str, tuple[int, int, int]] = {
     "x+": (1, 0, 0),
     "x-": (-1, 0, 0),
@@ -58,23 +61,39 @@ class Torus3D:
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
         self.dims = tuple(dims)
         self.wrap = tuple(wrap)
+        nx, ny, nz = self.dims
+        self._num_nodes = nx * ny * nz
+        # per axis: (extent, id stride, wraps); x is fastest-varying, and a
+        # wrap flag on an extent-1 axis connects nothing
+        self._axes = tuple(
+            (size, stride, bool(w) and size > 1)
+            for size, stride, w in zip(self.dims, (1, nx, nx * ny), self.wrap)
+        )
 
     @property
     def num_nodes(self) -> int:
         """Total node count."""
-        nx, ny, nz = self.dims
-        return nx * ny * nz
+        return self._num_nodes
 
     # -- id <-> coordinate -------------------------------------------------
+    def _check(self, node_id: int) -> None:
+        if not 0 <= node_id < self._num_nodes:
+            raise ValueError(f"node id {node_id} out of range")
+
     def coord(self, node_id: int) -> Coord:
         """Coordinates of ``node_id`` (x fastest-varying)."""
-        if not 0 <= node_id < self.num_nodes:
-            raise ValueError(f"node id {node_id} out of range")
+        self._check(node_id)
         nx, ny, _ = self.dims
         x = node_id % nx
         y = (node_id // nx) % ny
         z = node_id // (nx * ny)
         return Coord(x, y, z)
+
+    def axis_coord(self, node_id: int, axis: int) -> int:
+        """Coordinate of ``node_id`` along ``axis`` (0=x, 1=y, 2=z)."""
+        self._check(node_id)
+        size, stride, _ = self._axes[axis]
+        return (node_id // stride) % size
 
     def node_id(self, coord: Coord) -> int:
         """Dense id of ``coord``."""
@@ -98,40 +117,41 @@ class Torus3D:
         return Coord(*vals)
 
     def neighbors(self, node_id: int) -> dict[str, int]:
-        """Map of direction -> neighbor id for every connected port."""
-        here = self.coord(node_id)
+        """Map of direction -> neighbor id for every connected port.
+
+        Pure id arithmetic (no :class:`Coord`): equal to walking
+        :meth:`neighbor` from :meth:`coord` in :data:`DIRECTIONS` order.
+        """
+        self._check(node_id)
         out: dict[str, int] = {}
-        for direction in DIRECTIONS:
-            other = self.neighbor(here, direction)
-            if other is not None and other != here:
-                out[direction] = self.node_id(other)
+        for (plus, minus), (size, stride, wraps) in zip(_AXIS_PORTS, self._axes):
+            c = (node_id // stride) % size
+            if c + 1 < size:
+                out[plus] = node_id + stride
+            elif wraps:
+                out[plus] = node_id - c * stride
+            if c > 0:
+                out[minus] = node_id - stride
+            elif wraps:
+                out[minus] = node_id + (size - 1) * stride
         return out
 
     # -- distances -----------------------------------------------------------
-    def _axis_distance(self, a: int, b: int, axis: int) -> int:
-        size = self.dims[axis]
-        direct = abs(b - a)
-        if self.wrap[axis] and size > 1:
-            return min(direct, size - direct)
-        return direct
-
     def distance(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes under this wrap config."""
-        a, b = self.coord(src), self.coord(dst)
-        return sum(
-            self._axis_distance(pa, pb, axis)
-            for axis, (pa, pb) in enumerate(zip(a, b))
-        )
+        self._check(src)
+        self._check(dst)
+        total = 0
+        for size, stride, wraps in self._axes:
+            d = abs((src // stride) % size - (dst // stride) % size)
+            if wraps and size - d < d:
+                d = size - d
+            total += d
+        return total
 
     def diameter(self) -> int:
         """Largest minimal hop count over all node pairs."""
-        total = 0
-        for axis, size in enumerate(self.dims):
-            if self.wrap[axis] and size > 1:
-                total += size // 2
-            else:
-                total += size - 1
-        return total
+        return sum(size // 2 if wraps else size - 1 for size, _, wraps in self._axes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Torus3D(dims={self.dims}, wrap={self.wrap})"

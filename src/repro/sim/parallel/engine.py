@@ -12,8 +12,8 @@ synchronous global rounds:
    earliest pending event and the chunks it exported since the last
    round;
 2. every partition reads all peers' publications, imports the chunks
-   destined to it (at their original timestamps, via
-   :meth:`Simulator.schedule_at`), and computes the *import-adjusted*
+   destined to it (at their original timestamps, into the destination's
+   inbox: :meth:`PlanePartition.import_chunk`), and computes the *import-adjusted*
    earliest pending time ``N'_k`` of every partition — identical inputs,
    so every partition derives identical values;
 3. the lower bound on any partition's next execution is the fixed point
@@ -99,6 +99,14 @@ INF = float("inf")
 #: SIGKILLed peer must be respawned by the pool (backoff included) and
 #: re-simulate from t=0 before its file appears.
 DEFAULT_EXCHANGE_DEADLINE_S = 300.0
+
+#: exchange-file poll backoff: a missing peer file is re-checked after
+#: POLL_MIN_S, then after doubling sleeps capped at POLL_MAX_S.  Most
+#: rounds' files land within a millisecond of each other, so a short
+#: first sleep saves the fixed 5 ms a round used to cost; the cap keeps
+#: a long wait (a respawning peer) from spinning.
+POLL_MIN_S = 0.0002
+POLL_MAX_S = 0.005
 
 
 class CausalityError(RuntimeError):
@@ -215,8 +223,9 @@ class DirExchange:
 
     Polling is accounted, not silent: ``poll_wait_s`` accumulates the
     wall-clock time this side spent sleeping on missing peer files (and
-    ``polls`` the number of sleeps), which feeds the straggler report's
-    transport-wait attribution and the wedged-run diagnostics.
+    ``polls`` the number of sleeps, which back off from ``POLL_MIN_S``
+    to ``POLL_MAX_S`` within one collect), which feeds the straggler
+    report's transport-wait attribution and the wedged-run diagnostics.
     """
 
     def __init__(self, path: str, deadline_s: float = DEFAULT_EXCHANGE_DEADLINE_S):
@@ -239,6 +248,7 @@ class DirExchange:
         docs: List[Optional[Dict[str, Any]]] = [None] * nparts
         deadline = time.monotonic() + self.deadline_s
         missing = set(range(nparts))
+        backoff = POLL_MIN_S
         while missing:
             for part in sorted(missing):
                 try:
@@ -257,9 +267,10 @@ class DirExchange:
                     f"{self.polls} polls)"
                 )
             slept = time.monotonic()
-            time.sleep(0.005)
+            time.sleep(backoff)
             self.poll_wait_s += time.monotonic() - slept
             self.polls += 1
+            backoff = min(backoff * 2, POLL_MAX_S)
         return [doc for doc in docs if doc is not None]
 
 

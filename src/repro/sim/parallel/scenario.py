@@ -14,7 +14,16 @@ stack is calibrated with:
   fall-through latency over the dimension-ordered route (whose length
   equals ``Torus3D.distance``; asserted by tests/test_net_routing.py);
 * **ejection** — each destination drains arrivals through its RX link at
-  link rate, which is what makes incast/hotspot traffic queue.
+  link rate, which is what makes incast/hotspot traffic queue.  Chunks
+  wait in a per-destination inbox heap; only a message's *last* chunk
+  puts a record on the simulator heap, a *fold record* at its arrival
+  time ``T`` (one per distinct ``(dst, T)``).  The fold drains every
+  inbox chunk with arrival ``<= T`` through the RX link.  Nothing can
+  still join that set: a submit at ``t`` yields arrivals ``> t`` and a
+  cross-partition import lands at or above the safe floor.  So a
+  message's delivery is computed once, when its last chunk lands, and
+  the simulator heap holds one record per message instead of two per
+  chunk.
 
 Unlike the full stack there is no RX-window backpressure onto senders:
 receive buffering is unbounded and contention shows up purely as
@@ -39,8 +48,10 @@ Scenarios (all deterministic, parameterized by dims and message size):
 from __future__ import annotations
 
 import hashlib
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Set, Tuple
 
 from ...hw.config import DEFAULT_CONFIG, SeaStarConfig
 from ...net.topology import Torus3D
@@ -168,11 +179,10 @@ class PlanePartition:
         self._tx_free: Dict[int, int] = {}
         self._rx_busy: Dict[int, int] = {}
         self._send_seq: Dict[int, int] = {}
-        # arrivals buffered for the pending same-timestamp fold
-        self._pending: Dict[int, List[Chunk]] = {}
-        self._kick_at: Dict[int, int] = {}
-        # message reassembly and the delivered record
-        self._got_chunks: Dict[MsgKey, int] = {}
+        # per-destination inbox heaps of chunk tuples (canonical order),
+        # and the (dst, arrival) fold records already on the sim heap
+        self._inbox: DefaultDict[int, List[Chunk]] = defaultdict(list)
+        self._folds: Set[Tuple[int, int]] = set()
         #: delivered messages: msg_key -> (nbytes, submit_ps, delivery_ps)
         self.delivered: Dict[MsgKey, Tuple[int, int, int]] = {}
         # tree bookkeeping: nodes that already forwarded
@@ -221,7 +231,7 @@ class PlanePartition:
                 now,
             )
             if dst in self.my_nodes:
-                self._schedule_arrival(rec)
+                self._receive(rec)
             else:
                 assert self._exporter is not None, "cross-partition send w/o exporter"
                 self._exporter(rec)
@@ -229,46 +239,41 @@ class PlanePartition:
 
     # -- ejection -----------------------------------------------------------
 
-    def _schedule_arrival(self, rec: Chunk) -> None:
-        self.sim.schedule_at(rec[1], rec).add_callback(self._on_arrival)
-
     def import_chunk(self, rec: Chunk) -> None:
         """Accept a cross-partition chunk (engine-validated timestamp)."""
         if rec[0] not in self.my_nodes:
             raise ValueError(f"chunk for node {rec[0]} imported to wrong partition")
-        self._schedule_arrival(rec)
+        self._receive(rec)
 
-    def _on_arrival(self, event: Any) -> None:
-        rec: Chunk = event.value
+    def _receive(self, rec: Chunk) -> None:
         dst, arrival = rec[0], rec[1]
-        self._pending.setdefault(dst, []).append(rec)
-        # fold all same-timestamp arrivals in one deterministic pass: the
-        # kick is scheduled zero-delay, so it pops after every arrival
-        # record at this timestamp (they were heap-resident before the
-        # clock reached it) regardless of which partition sent what
-        if self._kick_at.get(dst) != arrival:
-            self._kick_at[dst] = arrival
-            self.sim.schedule_at(arrival, dst).add_callback(self._on_kick)
+        # the tuple leads with (dst, arrival, src, msg_key, chunk_seq), so
+        # heap order within one destination IS the canonical fold order
+        heapq.heappush(self._inbox[dst], rec)
+        # only a message's last chunk can complete a delivery, so only it
+        # earns a heap record: one fold per (dst, arrival) of last chunks
+        if rec[4] == rec[6] - 1 and (dst, arrival) not in self._folds:
+            self._folds.add((dst, arrival))
+            self.sim.schedule_at(arrival, (dst, arrival)).add_callback(self._on_fold)
 
-    def _on_kick(self, event: Any) -> None:
-        dst = event.value
-        batch = self._pending.pop(dst, [])
-        if not batch:  # pragma: no cover - defensive
-            return
-        # canonical fold order: (arrival, src, msg_key, chunk_seq) — all
-        # arrivals in the batch share one timestamp, so this is the
-        # global merge order whatever the heap interleaving was
-        batch.sort(key=lambda r: (r[1], r[2], r[3], r[4]))
+    def _on_fold(self, event: Any) -> None:
+        dst, until = event.value
+        self._folds.discard((dst, until))
+        # every chunk arriving at or before `until` is in the inbox by now:
+        # a submit at t yields arrivals > t, and imports land at or above
+        # the partition's safe floor, which is past `until`
+        inbox = self._inbox[dst]
+        pop = heapq.heappop
+        packet_time = self._packet_time
         busy = self._rx_busy.get(dst, 0)
-        now = self.sim.now
-        for rec in batch:
-            _, arrival, src, msg, chunk_seq, npackets, nchunks, nbytes, submit = rec
+        while inbox and inbox[0][1] <= until:
+            rec = pop(inbox)
+            _, arrival, _, msg, chunk_seq, npackets, nchunks, nbytes, submit = rec
             start = busy if busy > arrival else arrival
-            busy = start + npackets * self._packet_time
-            got = self._got_chunks.get(msg, 0) + 1
-            self._got_chunks[msg] = got
-            if got == nchunks:
-                del self._got_chunks[msg]
+            busy = start + npackets * packet_time
+            # a message's chunks arrive in chunk_seq order, so its last
+            # chunk is the last of them folded
+            if chunk_seq == nchunks - 1:
                 self.delivered[msg] = (nbytes, submit, busy)
                 self._on_message_delivered(dst, busy)
         self._rx_busy[dst] = busy
@@ -281,9 +286,9 @@ class PlanePartition:
         children = tree_children(node, self.topo.num_nodes)
         if not children:
             return
-        # delivery time is strictly beyond sim.now (the fold appends at
-        # least one packet_time), so the forward submit can be scheduled
-        # as an ordinary future event
+        # delivery time is strictly beyond sim.now (the fold completes only
+        # messages whose last chunk arrives at now, then appends at least
+        # one packet_time), so the forward submit is an ordinary future event
         self.sim.schedule_at(when, (node, tuple(children))).add_callback(
             self._on_forward
         )

@@ -1,10 +1,12 @@
 """3D mesh/torus topology: coordinates, neighbors, distances."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.machine.builder import partition_nodes
 from repro.net import Coord, Torus3D
+from repro.net.topology import DIRECTIONS
 
 dims_strategy = st.tuples(
     st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)
@@ -172,3 +174,79 @@ class TestRedStormGeometry:
         assert topo.distance(a, topo.node_id(Coord(0, 0, 23))) == 1
         assert topo.distance(a, topo.node_id(Coord(0, 0, 12))) == 12
         assert topo.distance(a, topo.node_id(Coord(26, 0, 0))) == 26
+
+
+def walk_neighbors(topo, node):
+    """Neighbors by the coordinate walk: ``coord`` then ``neighbor``."""
+    here = topo.coord(node)
+    out = {}
+    for direction in DIRECTIONS:
+        other = topo.neighbor(here, direction)
+        if other is not None and other != here:
+            out[direction] = topo.node_id(other)
+    return out
+
+
+def walk_distance(topo, src, dst):
+    """Hop count by the coordinate walk: per-axis distance of two Coords."""
+    total = 0
+    for axis, (a, b) in enumerate(zip(topo.coord(src), topo.coord(dst))):
+        size = topo.dims[axis]
+        direct = abs(a - b)
+        wraps = topo.wrap[axis] and size > 1
+        total += min(direct, size - direct) if wraps else direct
+    return total
+
+
+class TestIdArithmetic:
+    """``distance``, ``neighbors`` and the slab cut work on node ids
+    without building Coords; they must equal the coordinate walk on
+    every id, including extent-1 axes with the wrap flag set."""
+
+    small_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=small_dims, wrap=wrap_strategy)
+    @example(dims=(1, 2, 1), wrap=(True, True, True))
+    @example(dims=(4, 1, 3), wrap=(False, True, True))
+    def test_distance_and_neighbors_match_coord_walk(self, dims, wrap):
+        topo = Torus3D(dims, wrap=wrap)
+        for a in range(topo.num_nodes):
+            # same ports in the same (router-port) order
+            assert list(topo.neighbors(a).items()) == list(
+                walk_neighbors(topo, a).items()
+            )
+            for b in range(topo.num_nodes):
+                assert topo.distance(a, b) == walk_distance(topo, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=small_dims, wrap=wrap_strategy, nparts=st.integers(1, 5))
+    @example(dims=(3, 1, 4), wrap=(False, True, True), nparts=3)
+    def test_partition_buckets_match_coord_walk(self, dims, wrap, nparts):
+        topo = Torus3D(dims, wrap=wrap)
+        for axis in range(3):
+            plan = partition_nodes(topo, nparts, axis)
+            expected = [[] for _ in plan.ranges]
+            for node in range(topo.num_nodes):
+                v = tuple(topo.coord(node))[axis]
+                for idx, (lo, hi) in enumerate(plan.ranges):
+                    if lo <= v < hi:
+                        expected[idx].append(node)
+            assert [list(b) for b in plan.nodes] == expected
+            for idx, bucket in enumerate(plan.nodes):
+                for node in bucket:
+                    assert plan.owner_of(topo, node) == idx
+
+    @pytest.mark.parametrize("bad", [-1, 8, 100])
+    def test_out_of_range_ids_raise(self, bad):
+        topo = Torus3D((2, 2, 2), wrap=(True, False, True))
+        plan = partition_nodes(topo, 2)
+        for call in (
+            lambda: topo.distance(bad, 0),
+            lambda: topo.distance(0, bad),
+            lambda: topo.neighbors(bad),
+            lambda: topo.axis_coord(bad, 0),
+            lambda: plan.owner_of(topo, bad),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                call()
